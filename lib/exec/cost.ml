@@ -56,13 +56,23 @@ let scan_cardinality stats schema label =
 (* Top-level conjunctive equality [var.prop = literal] in a WHERE
    clause — the predicate shape an index probe can serve. Shared by
    the executor (to probe) and the plan builder (to display the access
-   path the executor will pick). *)
+   path the executor will pick). The residual lets the executor skip
+   the conjunct the probe already answered. A [null] literal is never
+   probed: [x.p = null] also holds for every vertex that lacks [p],
+   which no index over stored values can list. *)
 let rec equality_probe (e : Ast.expr) var =
   match e with
-  | Ast.Binop (Ast.Eq, Ast.Prop (v, p), Ast.Lit value) when v = var -> Some (p, value)
-  | Ast.Binop (Ast.Eq, Ast.Lit value, Ast.Prop (v, p)) when v = var -> Some (p, value)
+  | Ast.Binop (Ast.Eq, Ast.Prop (v, p), Ast.Lit value)
+  | Ast.Binop (Ast.Eq, Ast.Lit value, Ast.Prop (v, p))
+    when v = var && value <> Kaskade_graph.Value.Null ->
+    Some (p, value, None)
   | Ast.Binop (Ast.And, a, b) -> begin
-    match equality_probe a var with Some _ as r -> r | None -> equality_probe b var
+    let conj l r =
+      match (l, r) with None, x | x, None -> x | Some l, Some r -> Some (Ast.Binop (Ast.And, l, r))
+    in
+    match equality_probe a var with
+    | Some (p, value, rest) -> Some (p, value, conj rest (Some b))
+    | None -> Option.map (fun (p, value, rest) -> (p, value, conj (Some a) rest)) (equality_probe b var)
   end
   | _ -> None
 
@@ -209,7 +219,7 @@ let scan_op ~start_bound ~(mb_where : Ast.expr option) (start : Ast.node_pat) =
   else begin
     match (start.n_var, mb_where) with
     | Some var, Some cond when equality_probe cond var <> None ->
-      let prop, value = Option.get (equality_probe cond var) in
+      let prop, value, _ = Option.get (equality_probe cond var) in
       ( "NodeIndexSeek",
         Printf.sprintf " %s.%s = %s" var prop (Kaskade_graph.Value.to_string value) )
     | _ -> begin

@@ -32,10 +32,15 @@ val eval_cost :
 (** [(estimate ...).total_cost]. *)
 
 val equality_probe :
-  Kaskade_query.Ast.expr -> string -> (string * Kaskade_graph.Value.t) option
+  Kaskade_query.Ast.expr ->
+  string ->
+  (string * Kaskade_graph.Value.t * Kaskade_query.Ast.expr option) option
 (** Top-level conjunctive [var.prop = literal] in a WHERE expression —
-    the predicate shape the executor serves with an index probe.
-    Exposed so plan building and execution agree on the access path. *)
+    the predicate shape the executor serves with an index probe — as
+    [(prop, literal, residual)], where [residual] is the WHERE with
+    that conjunct removed ([None] when nothing remains). A [null]
+    literal never qualifies. Exposed so plan building and execution
+    agree on the access path. *)
 
 val plan :
   ?deg_override:(string -> float option) ->

@@ -4,6 +4,13 @@
     filters, SELECT projections and GROUP BY aggregation, and CALL
     procedures (label propagation, largest community).
 
+    Every expression is compiled once per MATCH/SELECT block into a
+    closure over row slot indices (property columns resolved once);
+    rows then stream from the last pattern through WHERE, RETURN and
+    the enclosing SELECTs, and GROUP BY folds each row into per-group
+    accumulators in one pass. A WHERE conjunct that an index probe
+    answered is not re-evaluated.
+
     Variable-length semantics: Cypher enumerates trails, whose count
     is exponential; what the paper's queries consume after GROUP BY is
     the set of distinct endpoints. The default
@@ -109,8 +116,10 @@ val run_explained :
     (property tested in [test_obs]). Within a pattern the scan/expand
     operators are fused into one pipeline: they report actual rows
     (successful bindings) but their wall time is accounted to the
-    enclosing Pattern operator. Reported times are inclusive of child
-    operators. *)
+    enclosing Pattern operator. WHERE, the RETURN projection and the
+    consuming SELECT stages run inside the last pattern's emitter, so
+    their time is accounted to that pattern and to the MATCH. Reported
+    times are inclusive of child operators. *)
 
 val communities : ctx -> int array option
 (** Labels computed by the last [algo.labelPropagation] call. *)

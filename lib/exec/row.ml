@@ -30,10 +30,13 @@ let rval_to_string g = function
   | E e -> Printf.sprintf "edge#%d" e
   | Prim v -> Value.to_string v
 
-let col_index t name =
-  let found = ref (-1) in
-  Array.iteri (fun i c -> if !found < 0 && String.equal c name then found := i) t.cols;
-  if !found < 0 then raise Not_found else !found
+let col_slot cols name =
+  let rec find i =
+    if i = Array.length cols then None else if String.equal cols.(i) name then Some i else find (i + 1)
+  in
+  find 0
+
+let col_index t name = match col_slot t.cols name with Some i -> i | None -> raise Not_found
 
 let n_rows t = List.length t.rows
 

@@ -18,8 +18,11 @@ val rval_compare : rval -> rval -> int
 val rval_to_string : Kaskade_graph.Graph.t -> rval -> string
 (** Vertices render as [type#id(name)] when a [name] property exists. *)
 
+val col_slot : string array -> string -> int option
+(** Position of the first column with this name. *)
+
 val col_index : table -> string -> int
-(** Raises [Not_found]. *)
+(** [col_slot] over the table's columns; raises [Not_found]. *)
 
 val n_rows : table -> int
 val pp : Kaskade_graph.Graph.t -> Format.formatter -> table -> unit

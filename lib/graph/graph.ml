@@ -282,6 +282,9 @@ let vprop_or_null t v key = Props.get_or_null t.vprops v key
 let eprop t e key = Props.get t.eprops e key
 let eprop_or_null t e key = Props.get_or_null t.eprops e key
 
+let vprop_column t key = Props.column t.vprops key
+let eprop_column t key = Props.column t.eprops key
+
 let vertex_props t v = Props.entity_props t.vprops v
 let edge_props t e = Props.entity_props t.eprops e
 let vertex_prop_keys t = Props.keys t.vprops

@@ -100,6 +100,11 @@ val vprop_or_null : t -> int -> string -> Value.t
 val eprop : t -> int -> string -> Value.t option
 val eprop_or_null : t -> int -> string -> Value.t
 
+val vprop_column : t -> string -> int -> Value.t
+val eprop_column : t -> string -> int -> Value.t
+(** [vprop_column g key] is [vprop_or_null g] with the column of [key]
+    resolved once (see {!Props.column}). *)
+
 val vertex_props : t -> int -> (string * Value.t) list
 (** All properties of a vertex (sorted by name). O(#columns). *)
 

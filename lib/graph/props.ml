@@ -18,6 +18,11 @@ let get t id key =
 
 let get_or_null t id key = match get t id key with Some v -> v | None -> Value.Null
 
+let column t key =
+  match Hashtbl.find_opt t key with
+  | Some col -> fun id -> ( match Hashtbl.find col id with v -> v | exception Not_found -> Value.Null)
+  | None -> fun _ -> Value.Null
+
 let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort compare
 
 let column_size t key = match Hashtbl.find_opt t key with Some col -> Hashtbl.length col | None -> 0

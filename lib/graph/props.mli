@@ -7,6 +7,12 @@ val create : unit -> t
 val set : t -> int -> string -> Value.t -> unit
 val get : t -> int -> string -> Value.t option
 val get_or_null : t -> int -> string -> Value.t
+
+val column : t -> string -> int -> Value.t
+(** [column t key] resolves the column once and returns its
+    {!get_or_null} reader — for inner loops that read one property of
+    many entities. *)
+
 val keys : t -> string list
 (** Property names present, sorted. *)
 

@@ -11,9 +11,10 @@ val create : Graph.t -> t
 (** No indexes are built yet. *)
 
 val lookup : t -> prop:string -> Value.t -> int list
-(** Vertex ids whose [prop] equals the value (any vertex type;
-    callers filter by label). Builds the index on first use.
-    Ascending id order. *)
+(** Vertex ids whose [prop] equals the value under [Value.equal] —
+    so an [Int] probe finds integral [Float] values and vice versa —
+    (any vertex type; callers filter by label). Builds the index on
+    first use. Ascending id order. *)
 
 val indexed_props : t -> string list
 (** Properties indexed so far (sorted). *)
