@@ -724,280 +724,6 @@ let microbench () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Sharded CSR: partitioned storage + shard-parallel morsel scans      *)
-
-(* Identity first, speed second: every run proves executor results are
-   byte-identical at S ∈ {1,2,4} for both partition policies and that
-   [Shard.typed_scan] reproduces the single-CSR row count and
-   destination checksum, then measures typed-scan throughput 1 -> 4
-   shards. [--smoke] keeps the fixture graph and turns the scaling
-   measurement into a hard >= 1.0x assertion (best-of-3, retried). *)
-
-let shard_workload =
-  [ "MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN j, f";
-    "MATCH (u:User)-[:SUBMITTED]->(j:Job) RETURN u, j";
-    "MATCH (s:Job)-[r*1..4]->(desc:Job) RETURN s, desc";
-    "MATCH (s:Job)<-[r*1..4]-(anc:Job) RETURN s, anc" ]
-
-(* Full result bytes, not the 20-row [Row.pp] preview: column header
-   plus every row's rendered values in result order. *)
-let shard_result_bytes g = function
-  | Kaskade_exec.Executor.Affected n -> Printf.sprintf "affected %d" n
-  | Kaskade_exec.Executor.Table t ->
-    let buf = Buffer.create 4096 in
-    Array.iter
-      (fun c ->
-        Buffer.add_string buf c;
-        Buffer.add_char buf '\t')
-      t.Kaskade_exec.Row.cols;
-    Buffer.add_char buf '\n';
-    List.iter
-      (fun row ->
-        Array.iter
-          (fun v ->
-            Buffer.add_string buf (Kaskade_exec.Row.rval_to_string g v);
-            Buffer.add_char buf '\t')
-          row;
-        Buffer.add_char buf '\n')
-      t.Kaskade_exec.Row.rows;
-    Buffer.contents buf
-
-let shard () =
-  header "Sharded CSR: partitioned storage + shard-parallel morsel scans";
-  let cfg =
-    Kaskade_gen.Provenance_gen.(
-      if !smoke then { default with jobs = 300; files = 600; seed = 42 }
-      else
-        { default with jobs = 4_000; files = 8_000; tasks_per_job = 6; machines = 100;
-          users = 400; seed = 42 })
-  in
-  let g = Kaskade_gen.Provenance_gen.generate cfg in
-  let schema = Graph.schema g in
-  let etid = Schema.edge_type_id schema "WRITES_TO" in
-  (* Single-CSR reference for the scan kernel: row count plus the
-     order-insensitive destination-vid checksum [typed_scan] folds. *)
-  let ref_rows = ref 0 and ref_sum = ref 0 in
-  Array.iter
-    (fun v ->
-      Graph.iter_out_etype g v ~etype:etid (fun ~dst ~eid:_ ->
-          Stdlib.incr ref_rows;
-          ref_sum := (!ref_sum + dst) land max_int))
-    (Graph.vertices_of_type g (Schema.edge_src schema etid));
-  if !smoke && !ref_rows <> smoke_expected_typed_rows then begin
-    Printf.eprintf "FAIL: shard smoke fixture mismatch: got %d rows, expected %d\n" !ref_rows
-      smoke_expected_typed_rows;
-    exit 1
-  end;
-  (* 1. Executor byte-identity: the same workload, the same bytes, at
-     every shard count and under both partition policies. *)
-  let baseline =
-    let ctx = Kaskade_exec.Executor.create g in
-    List.map (fun q -> shard_result_bytes g (Kaskade_exec.Executor.run_string ctx q)) shard_workload
-  in
-  List.iter
-    (fun policy ->
-      List.iter
-        (fun s ->
-          let ctx = Kaskade_exec.Executor.create ~shard_policy:policy ~shards:s g in
-          List.iter2
-            (fun q expected ->
-              let got = shard_result_bytes g (Kaskade_exec.Executor.run_string ctx q) in
-              if got <> expected then begin
-                Printf.eprintf "FAIL: results differ at shards=%d policy=%s for %s\n" s
-                  (Shard.policy_name policy) q;
-                exit 1
-              end)
-            shard_workload baseline)
-        [ 2; 4 ])
-    [ Shard.Hash; Shard.Type_range ];
-  Printf.printf "executor identity: %d queries byte-identical at S in {1,2,4} x {hash, type_range}\n"
-    (List.length shard_workload);
-  (* 2. Scan-kernel identity: rows and checksum invariant across shard
-     counts, policies and pool widths. *)
-  let pool1 = Pool.create ~domains:1 () in
-  let pool4 = Pool.create ~domains:4 () in
-  let shards_of policy s = Shard.of_graph ~policy ~shards:s g in
-  List.iter
-    (fun policy ->
-      List.iter
-        (fun s ->
-          let sh = shards_of policy s in
-          List.iter
-            (fun pool ->
-              let rows, sum = Shard.typed_scan ~pool sh ~etype:etid in
-              if rows <> !ref_rows || sum <> !ref_sum then begin
-                Printf.eprintf
-                  "FAIL: typed_scan mismatch at shards=%d policy=%s: rows=%d/%d checksum=%d/%d\n" s
-                  (Shard.policy_name policy) rows !ref_rows sum !ref_sum;
-                exit 1
-              end)
-            [ pool1; pool4 ])
-        [ 1; 2; 4 ])
-    [ Shard.Hash; Shard.Type_range ];
-  Printf.printf "typed_scan identity: rows=%d checksum invariant at S in {1,2,4} x policies x pools\n"
-    !ref_rows;
-  (* 3. Scaling: sequential single-shard scan vs shard x morsel fan-out
-     at S = 4. Type_range is the deployment policy for typed scans
-     (few cut edges), so it is the one measured; Hash already proved
-     identity above. *)
-  let sh1 = shards_of Shard.Type_range 1 in
-  let sh4 = shards_of Shard.Type_range 4 in
-  (* The fixture scan is ~2us; a small batch leaves the smoke
-     assertion at the mercy of timer granularity, so batch deep
-     enough that each sample is comfortably in the milliseconds. *)
-  let inner = if !smoke then 400 else 200 in
-  let timed sh pool =
-    (* The fixture scan is microseconds; batch it so best-of-3 measures
-       work, not timer granularity. *)
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t =
-        snd
-          (time_once (fun () ->
-               for _ = 1 to inner do
-                 ignore (Shard.typed_scan ~pool sh ~etype:etid)
-               done))
-      in
-      if t < !best then best := t
-    done;
-    !best /. float_of_int inner
-  in
-  let t1 = ref (timed sh1 pool1) and t4 = ref (timed sh4 pool4) in
-  if !smoke then begin
-    (* On a one-core box the 4-domain pool caps to one worker and the
-       assertion reduces to "sharding adds no overhead". Measuring the
-       two configs as separate blocks lets machine-wide drift (a busy
-       1-core VM) bias whichever side ran during the quiet moment, so
-       the smoke takes ALTERNATING samples — drift then hits both
-       sides equally and best-of-N compares like with like. *)
-    let batch sh pool =
-      snd
-        (time_once (fun () ->
-             for _ = 1 to inner do
-               ignore (Shard.typed_scan ~pool sh ~etype:etid)
-             done))
-    in
-    ignore (batch sh1 pool1);
-    ignore (batch sh4 pool4);
-    (* Bests accumulate ACROSS retries: the min estimator converges on
-       each config's true quiet-machine time, so a sustained
-       interference window costs another attempt, never a spurious
-       failure verdict. *)
-    let b1 = ref infinity and b4 = ref infinity in
-    (* With workers to spare, sharding must genuinely scale: >= 1.0x,
-       no excuses. With one effective worker both configs run the same
-       sequential loop and the claim degenerates to "sharding adds no
-       overhead" — parity between two equal times, where a strict
-       >= 1.0 on the noise is a coin flip, so the floor leaves a small
-       noise margin. It still fails the real regressions this kernel
-       has had (branchy cut-edge resolve: 0.88x; dependent-load
-       resolution chain: 0.73x). *)
-    let workers = Pool.effective_workers pool4 in
-    let floor_x = if workers > 1 then 1.0 else 0.95 in
-    let rec attempt tries =
-      for _ = 1 to 5 do
-        let s1 = batch sh1 pool1 in
-        let s4 = batch sh4 pool4 in
-        if s1 < !b1 then b1 := s1;
-        if s4 < !b4 then b4 := s4
-      done;
-      let m1 = !b1 /. float_of_int inner and m4 = !b4 /. float_of_int inner in
-      let speedup = if m4 > 0.0 then m1 /. m4 else 1.0 in
-      if speedup >= floor_x then begin
-        t1 := m1;
-        t4 := m4;
-        Printf.printf "scaling smoke: typed_scan @4 shards %.2fx vs @1 (%d effective worker(s))\n"
-          speedup workers
-      end
-      else if tries > 1 then attempt (tries - 1)
-      else begin
-        Printf.eprintf
-          "FAIL: typed_scan slower at 4 shards than 1: %.6fs vs %.6fs (speedup %.2fx < %.2fx)\n"
-          m4 m1 speedup floor_x;
-        exit 1
-      end
-    in
-    attempt 8
-  end;
-  (* 4. Memory accounting: per-shard structures must stay near-balanced
-     so peak per-process memory in a distributed load is ~ total/S. *)
-  let mem_rows =
-    List.map
-      (fun s ->
-        let sh = shards_of Shard.Type_range s in
-        let per = List.init s (fun i -> Shard.shard_memory_words sh i) in
-        let total = Shard.memory_words sh in
-        let biggest = List.fold_left Stdlib.max 0 per in
-        (s, total, biggest, Shard.cut_edges sh))
-      [ 1; 2; 4 ]
-  in
-  let _, total1, _, _ = List.hd mem_rows in
-  List.iter
-    (fun (s, total, biggest, _) ->
-      (* Shard-linear: the largest shard holds ~1/S of the words (2x
-         slack for exchange arrays and small-type remainders). *)
-      if s > 1 && biggest * s > 2 * total then begin
-        Printf.eprintf "FAIL: shard memory imbalance at S=%d: max shard %d words of %d total\n" s
-          biggest total;
-        exit 1
-      end;
-      ignore total1)
-    mem_rows;
-  Table.print
-    ~aligns:[ Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
-    ~header:[ "shards"; "scan (s)"; "speedup"; "max shard words"; "cut edges" ]
-    (List.map
-       (fun (s, _, biggest, cut) ->
-         let t = if s = 1 then !t1 else if s = 4 then !t4 else timed (shards_of Shard.Type_range s) pool4 in
-         [ string_of_int s; Printf.sprintf "%.6f" t;
-           Printf.sprintf "%.2fx" (if t > 0.0 then !t1 /. t else 0.0);
-           Table.fmt_int biggest; Table.fmt_int cut ])
-       mem_rows);
-  Format.printf "%a@." Shard.pp_summary sh4;
-  if not !smoke then begin
-    (* Merge a "sharded_scan" section into the committed microbench
-       baseline without disturbing its other sections. *)
-    let open Kaskade_obs.Report in
-    let existing =
-      match
-        let ic = open_in "bench_speed.json" in
-        let s = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        parse s
-      with
-      | Ok (Obj kvs) -> List.filter (fun (k, _) -> k <> "sharded_scan") kvs
-      | Ok _ | Error _ -> []
-      | exception Sys_error _ -> []
-    in
-    let section =
-      Obj
-        [ ("graph", Obj [ ("n", Int (Graph.n_vertices g)); ("m", Int (Graph.n_edges g)) ]);
-          ("etype", Str "WRITES_TO");
-          ("rows", Int !ref_rows);
-          ( "scans",
-            List
-              (List.map
-                 (fun (s, total, biggest, cut) ->
-                   let t =
-                     if s = 1 then !t1
-                     else if s = 4 then !t4
-                     else timed (shards_of Shard.Type_range s) pool4
-                   in
-                   Obj
-                     [ ("shards", Int s); ("time_s", Float t);
-                       ("speedup", Float (if t > 0.0 then !t1 /. t else 0.0));
-                       ("memory_words", Int total); ("max_shard_words", Int biggest);
-                       ("cut_edges", Int cut) ])
-                 mem_rows) ) ]
-    in
-    let oc = open_out "bench_speed.json" in
-    output_string oc (to_string ~pretty:true (Obj (existing @ [ ("sharded_scan", section) ])));
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "sharded_scan section merged into bench_speed.json\n"
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Maintenance: incremental refresh vs full rebuild                    *)
 
 (* The live-update extension's headline claim: absorbing a small batch
@@ -1886,5 +1612,5 @@ let recovery () =
 let all_experiments =
   [ ("table3", table3); ("table4", table4); ("fig5", fig5); ("fig6", fig6); ("fig7", fig7);
     ("fig5k", fig5k); ("fig8", fig8); ("catalog", catalog); ("enum", enum); ("select", select);
-    ("e2e", e2e); ("microbench", microbench); ("shard", shard); ("maintenance", maintenance);
+    ("e2e", e2e); ("microbench", microbench); ("maintenance", maintenance);
     ("faults", faults); ("regress", regress); ("serve", serve_exp); ("recovery", recovery) ]

@@ -49,51 +49,6 @@ let reachable_within g ~src ~max_hops ?(dir = Out) () =
   done;
   !out
 
-(* Shard-routed counterpart of [reachable_within]: the BFS reads each
-   frontier vertex's adjacency from its owner shard (cut edges resolve
-   through the exchange), and the result is collected from the dist
-   array in ascending vid order — so it equals [reachable_within] on
-   the unsharded graph exactly, whatever order shards are visited
-   in. *)
-let reachable_within_sharded sh ~src ~max_hops ?(dir = Out) () =
-  let iter_neighbors v f =
-    (match dir with
-    | Out | Both -> Shard.iter_out sh v (fun ~dst ~etype:_ ~eid:_ -> f dst)
-    | In -> ());
-    match dir with
-    | In | Both -> Shard.iter_in sh v (fun ~src:u ~etype:_ ~eid:_ -> f u)
-    | Out -> ()
-  in
-  let n = Shard.n_vertices sh in
-  let dist = Array.make n (-1) in
-  dist.(src) <- 0;
-  Scratch.with_vec @@ fun vec_a ->
-  Scratch.with_vec @@ fun vec_b ->
-  let cur = ref vec_a and next = ref vec_b in
-  Int_vec.push !cur src;
-  let hop = ref 0 in
-  while Int_vec.length !cur > 0 && !hop < max_hops do
-    incr hop;
-    Int_vec.clear !next;
-    let nv = !next in
-    Int_vec.iter
-      (fun v ->
-        iter_neighbors v (fun u ->
-            if dist.(u) < 0 then begin
-              dist.(u) <- !hop;
-              Int_vec.push nv u
-            end))
-      !cur;
-    let tmp = !cur in
-    cur := !next;
-    next := tmp
-  done;
-  let out = ref [] in
-  for v = n - 1 downto 0 do
-    if dist.(v) > 0 then out := v :: !out
-  done;
-  !out
-
 let descendants g ~src ~max_hops = reachable_within g ~src ~max_hops ~dir:Out ()
 let ancestors g ~src ~max_hops = reachable_within g ~src ~max_hops ~dir:In ()
 

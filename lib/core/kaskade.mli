@@ -27,7 +27,7 @@
     syntax:
 
     {[
-      let ks = Kaskade.make ~config:{ Kaskade.Config.default with shards = 4 } graph
+      let ks = Kaskade.make ~config:{ Kaskade.Config.default with plan_cache = false } graph
     ]} *)
 
 (** Re-exported components (see each module's own documentation). *)
@@ -47,7 +47,7 @@ type run_target =
   | Via_view of string  (** Answered over the named materialized view. *)
 
 (** Construction knobs, collapsed into one record so call sites name
-    only what they change ([{ Config.default with shards = 4 }]) and
+    only what they change ([{ Config.default with plan_cache = false }]) and
     new knobs never ripple through every caller's signature. *)
 module Config : sig
   type t = {
@@ -59,16 +59,6 @@ module Config : sig
         (** The one domain pool threaded through materialization,
             graph statistics, and view refresh (default [None]:
             [Kaskade_util.Pool.default] inside each component). *)
-    shards : int;
-        (** > 1 stores the base graph — and every materialized view —
-            as a {!Kaskade_graph.Shard} partitioning: executor
-            adjacency reads, connector/ego materialization traversals
-            and view refreshes route through the owning shard (cut
-            edges resolve through the exchange), and the selection
-            knapsack prices candidates as the sum of per-shard size
-            estimates. Results are byte-identical at any shard count;
-            [<= 1] (default) is exactly the single-CSR code path. *)
-    shard_policy : Kaskade_graph.Shard.policy;  (** Partitioning policy (default [Hash]). *)
     auto_refresh : bool;
         (** [true] (default): query entry points repair stale views
             before planning. [false]: they fall back to the base graph
@@ -131,23 +121,6 @@ val make : ?config:Config.t -> Kaskade_graph.Graph.t -> t
 (** Build a facade over [graph] (default {!Config.default}). The
     facade owns a [Graph.Overlay] delta layer over [graph]; mutate it
     through {!Update} only. *)
-
-val create :
-  ?alpha:float ->
-  ?mode:Kaskade_exec.Executor.mode ->
-  ?pool:Kaskade_util.Pool.t ->
-  ?shards:int ->
-  ?shard_policy:Kaskade_graph.Shard.policy ->
-  ?auto_refresh:bool ->
-  ?compact_threshold:float ->
-  ?breaker_threshold:int ->
-  ?breaker_cooldown_s:float ->
-  ?plan_cache:bool ->
-  Kaskade_graph.Graph.t ->
-  t
-[@@deprecated "use Kaskade.make ?config instead; each optional argument is a Config.t field"]
-(** @deprecated Thin wrapper over {!make}: every optional argument is
-    the {!Config.t} field of the same name, with the same default. *)
 
 val graph : t -> Kaskade_graph.Graph.t
 (** Current frozen snapshot — base plus any applied updates. Cheap
@@ -352,8 +325,8 @@ val query :
     [kaskade.query_timeouts]) and leaves the system consistent.
 
     [target = Base] skips planning and the query log and evaluates
-    directly on the base graph (the old [run_raw] — the baseline the
-    bench harness diffs view routing against). [target = View v]
+    directly on the base graph (the baseline the bench harness diffs
+    view routing against). [target = View v]
     evaluates an (already rewritten) query on view [v] with no
     base-graph fallback: a stale view is repaired first under
     [auto_refresh] (a failed or breaker-blocked repair is
@@ -362,27 +335,9 @@ val query :
     [run_target] reports where the query actually ran. Truly
     unexpected exceptions still propagate (see {!Error.of_exn}). *)
 
-val run :
-  ?budget:Kaskade_util.Budget.t ->
-  t ->
-  Kaskade_query.Ast.t ->
-  Kaskade_exec.Executor.result * run_target
-[@@deprecated "use Kaskade.query (returns a result instead of raising)"]
-(** @deprecated The raising form of {!query}[ ~target:Auto]: governed
-    failures ([Budget.Exhausted], parse/plan errors, ...) escape as
-    exceptions. *)
-
-val run_result :
-  ?budget:Kaskade_util.Budget.t ->
-  t ->
-  Kaskade_query.Ast.t ->
-  (Kaskade_exec.Executor.result * run_target, Error.t) result
-[@@deprecated "use Kaskade.query"]
-(** @deprecated Exactly {!query}[ ~target:Auto]. *)
-
 (** {1 EXPLAIN / PROFILE}
 
-    Observability entry points mirroring {!run}'s decision process
+    Observability entry points mirroring {!query}'s decision process
     without (EXPLAIN) or alongside (PROFILE) execution. *)
 
 type view_candidate = {
@@ -405,7 +360,7 @@ type view_candidate = {
 }
 
 type report = {
-  target : run_target;  (** The decision {!run} would make. *)
+  target : run_target;  (** The decision {!query} would make. *)
   raw_cost : float;  (** Estimated cost on the base graph. *)
   executed : Kaskade_query.Ast.t;
       (** The query actually evaluated: the rewriting when
@@ -430,7 +385,7 @@ type report = {
   plan_cache : string option;
       (** What the plan cache would do for this query right now:
           ["cold"], or ["warm (N hits, plan <fingerprint>)"] when a
-          {!run} would skip planning. [None] when the cache is
+          {!query} would skip planning. [None] when the cache is
           disabled. *)
   plan : Kaskade_obs.Explain.node;  (** Operator tree for [executed]. *)
 }
@@ -439,7 +394,7 @@ val explain : ?budget:Kaskade_util.Budget.t -> t -> Kaskade_query.Ast.t -> repor
 (** The plan and rewrite decision for [q], without executing it.
     Read-only: stale views are {e reported} (freshness plus the
     refresh strategy a repair would use) but never repaired, and the
-    reported target is what {!run} would pick with the catalog in this
+    reported target is what {!query} would pick with the catalog in this
     state. [budget] is surfaced in the report, not consumed. *)
 
 val profile :
@@ -447,7 +402,7 @@ val profile :
   t ->
   Kaskade_query.Ast.t ->
   Kaskade_exec.Executor.result * report
-(** Execute [q] exactly as {!run} would (the result is identical —
+(** Execute [q] exactly as {!query} would (the result is identical —
     including budget enforcement and refresh-failure degradation) and
     return the plan annotated with per-operator actual rows and wall
     times, plus any view repairs that ran first. *)
@@ -459,28 +414,9 @@ val report_json : report -> Kaskade_obs.Report.json
 (** Structured form of the whole report, including the plan tree, the
     selection trace, per-candidate freshness and refresh decisions. *)
 
-val run_raw :
-  ?budget:Kaskade_util.Budget.t -> t -> Kaskade_query.Ast.t -> Kaskade_exec.Executor.result
-[@@deprecated "use Kaskade.query ~target:Base"]
-(** @deprecated The raising form of {!query}[ ~target:Base]: always
-    evaluate on the (current) base graph. *)
-
-val run_on_view :
-  ?budget:Kaskade_util.Budget.t ->
-  t ->
-  string ->
-  Kaskade_query.Ast.t ->
-  Kaskade_exec.Executor.result
-[@@deprecated "use Kaskade.query ~target:(View name)"]
-(** @deprecated The raising form of {!query}[ ~target:(View name)].
-    Raises [Not_found] for unknown views; a stale view is repaired
-    first under [auto_refresh] and refused ([Invalid_argument])
-    otherwise. Unlike [run] there is no base-graph fallback, so a
-    failed or breaker-blocked repair raises {!Error.Refresh_error}. *)
-
 (** {1 Workload advisor}
 
-    Closes the observe-decide loop: the query log that {!run} /
+    Closes the observe-decide loop: the query log that {!query} /
     {!profile} accumulate ([Kaskade_obs.Qlog]) is replayed through the
     same enumeration + knapsack selection that {!select_views} runs on
     an assumed workload — except the queries and their frequencies are

@@ -1,9 +1,8 @@
 (* The serving layer end to end: overlay snapshot pinning, the
    session/MVCC property (concurrent pinned readers are byte-identical
    to a serial run at their pinned version while a writer streams
-   batches), admission control sheds as typed [Overloaded], the wire
-   protocol round-trips, and the deprecated facade wrappers still
-   work for out-of-tree callers. *)
+   batches), admission control sheds as typed [Overloaded], and the
+   wire protocol round-trips. *)
 
 open Kaskade_graph
 module K = Kaskade
@@ -349,31 +348,6 @@ let test_server_trace_health_metrics () =
   Thread.join th;
   rm_rf dir
 
-(* ------------------------------------------------------------------ *)
-(* Deprecated wrappers (out-of-tree compatibility)                     *)
-
-(* In-tree, deprecated-API use is a build error ([-alert @deprecated]
-   in every dune stanza); this module is the one sanctioned exception,
-   proving the wrappers still behave for external callers. *)
-module Compat = struct
-  [@@@alert "-deprecated"]
-
-  let test_deprecated_create_run () =
-    let g = prov () in
-    let old_ks = K.create ~alpha:95.0 ~auto_refresh:false g in
-    let new_ks = K.make ~config:{ K.Config.default with auto_refresh = false } g in
-    let q = K.parse (List.hd mvcc_queries) in
-    let old_r, old_how = K.run old_ks q in
-    let new_r, new_how = qok (K.query new_ks q) in
-    check_bool "same routing" true (old_how = new_how);
-    check_string "same bytes" (Wire.render_result g new_r) (Wire.render_result g old_r);
-    check_string "run_raw = query ~target:Base" (Wire.render_result g (K.run_raw old_ks q))
-      (Wire.render_result g (fst (qok (K.query ~target:K.Base new_ks q))));
-    match K.run_result new_ks q with
-    | Ok (r, _) -> check_string "run_result still typed" (Wire.render_result g new_r) (Wire.render_result g r)
-    | Error e -> Alcotest.failf "run_result failed: %s" (K.Error.to_string e)
-end
-
 let () =
   Alcotest.run "serve"
     [
@@ -396,6 +370,4 @@ let () =
         [ Alcotest.test_case "socket round-trip" `Slow test_server_socket_roundtrip;
           Alcotest.test_case "trace + health + metrics end to end" `Slow
             test_server_trace_health_metrics ] );
-      ( "compat",
-        [ Alcotest.test_case "deprecated wrappers" `Quick Compat.test_deprecated_create_run ] );
     ]

@@ -1,9 +1,9 @@
 (* Durability: WAL framing with torn-tail truncation and checksum
-   validation, binary snapshots (single-CSR and per-shard) that
-   round-trip the graph and the view catalog, crash-atomic text saves,
-   typed I/O errors, and replay idempotency through the facade —
-   including batches with duplicated delete keys, whose multiset
-   semantics must replay exactly as they applied live. *)
+   validation, binary snapshots that round-trip the graph and the view
+   catalog, crash-atomic text saves, typed I/O errors, and replay
+   idempotency through the facade — including batches with duplicated
+   delete keys, whose multiset semantics must replay exactly as they
+   applied live. *)
 
 open Kaskade_graph
 module K = Kaskade
@@ -128,7 +128,7 @@ let test_wal_checksum_rejects_tail () =
   rm_rf dir
 
 (* ------------------------------------------------------------------ *)
-(* Snapshots: graph + view catalog round-trip, per-shard variant       *)
+(* Snapshots: graph + view catalog round-trip                         *)
 
 let test_snapshot_roundtrip () =
   let dir = tmp_dir "snap" in
@@ -159,34 +159,6 @@ let test_snapshot_roundtrip () =
   | exception Codec.Corrupt _ -> ()
   | exception End_of_file -> ()
   | _ -> Alcotest.fail "damaged snapshot read back without error");
-  rm_rf dir
-
-let test_snapshot_shards_roundtrip () =
-  let dir = tmp_dir "snap-shards" in
-  Unix.mkdir dir 0o755;
-  let g = small_graph () in
-  let sh = Shard.of_graph ~shards:3 g in
-  let path = Filename.concat dir "s.ksnap" in
-  Snapshot.write_shards sh path ~seq:5;
-  check_bool "per-shard files exist" true
-    (Sys.file_exists (Snapshot.shard_path path ~shard:0 ~total:3));
-  let seq, sh' = Snapshot.read_shards path ~shards:3 in
-  check_int "seq agreed across shards" 5 seq;
-  check_int "vertices survive" (Shard.n_vertices sh) (Shard.n_vertices sh');
-  check_int "edges survive" (Shard.n_edges sh) (Shard.n_edges sh');
-  let out s v =
-    let acc = ref [] in
-    Shard.iter_out s v (fun ~dst ~etype ~eid:_ -> acc := (dst, etype) :: !acc);
-    List.sort compare !acc
-  in
-  for v = 0 to Shard.n_vertices sh - 1 do
-    if Shard.vertex_type sh v <> Shard.vertex_type sh' v then
-      Alcotest.failf "vertex %d changed type across the shard round-trip" v;
-    if out sh v <> out sh' v then
-      Alcotest.failf "vertex %d adjacency changed across the shard round-trip" v;
-    if List.sort compare (Shard.vertex_props sh v) <> List.sort compare (Shard.vertex_props sh' v)
-    then Alcotest.failf "vertex %d props changed across the shard round-trip" v
-  done;
   rm_rf dir
 
 let test_gio_save_atomic () =
@@ -296,7 +268,6 @@ let () =
       ( "snapshot",
         [
           Alcotest.test_case "graph + views round-trip" `Quick test_snapshot_roundtrip;
-          Alcotest.test_case "per-shard round-trip" `Quick test_snapshot_shards_roundtrip;
           Alcotest.test_case "text save is crash-atomic" `Quick test_gio_save_atomic;
         ] );
       ("errors", [ Alcotest.test_case "I/O failures are typed" `Quick test_io_error_taxonomy ]);
