@@ -186,6 +186,45 @@ let test_typed_scan_invariant () =
         check_int (Printf.sprintf "%s: restored typed scan checksum etype=%d" label ety) sum bsum
       done)
 
+(* The on-disk forms: every generator graph saved to a file and
+   loaded back — text through [Gio.save]/[Gio.load], binary through
+   [Snapshot.write]/[Snapshot.read] — keeps its vertex types, props
+   and adjacency relation. Eids may be renumbered by file order, so
+   adjacency is compared as sorted (dst, etype) pairs. *)
+let test_save_load_round_trip () =
+  let tmp = Filename.temp_file "kaskade_identity" ".kg" in
+  let formats =
+    [ ("text", fun g -> Gio.save g tmp; Gio.load tmp);
+      ( "snapshot",
+        fun g ->
+          Kaskade_store.Snapshot.write tmp ~seq:0 ~graph:g ~views:[];
+          (Kaskade_store.Snapshot.read tmp).Kaskade_store.Snapshot.graph ) ]
+  in
+  List.iter
+    (fun (gname, g) ->
+      let g = Lazy.force g in
+      List.iter
+        (fun (fname, round_trip) ->
+          let back = round_trip g in
+          let label = Printf.sprintf "%s via %s file" gname fname in
+          check_int (label ^ ": vertices") (Graph.n_vertices g) (Graph.n_vertices back);
+          check_int (label ^ ": edges") (Graph.n_edges g) (Graph.n_edges back);
+          for v = 0 to Graph.n_vertices back - 1 do
+            check_int (label ^ ": vertex type") (Graph.vertex_type g v) (Graph.vertex_type back v);
+            let out g =
+              let acc = ref [] in
+              Graph.iter_out g v (fun ~dst ~etype ~eid:_ -> acc := (dst, etype) :: !acc);
+              List.sort compare !acc
+            in
+            if out g <> out back then
+              Alcotest.failf "%s: out-adjacency of vertex %d differs after round-trip" label v;
+            if Graph.vertex_props g v <> Graph.vertex_props back v then
+              Alcotest.failf "%s: vertex %d props differ after round-trip" label v
+          done)
+        formats)
+    generators;
+  Sys.remove tmp
+
 let () =
   Alcotest.run "kaskade_identity"
     [
@@ -198,4 +237,6 @@ let () =
           Alcotest.test_case "traverse equal" `Quick test_traverse_equal;
           Alcotest.test_case "typed_scan invariant" `Quick test_typed_scan_invariant;
         ] );
+      ( "persistence",
+        [ Alcotest.test_case "save/load round-trip" `Quick test_save_load_round_trip ] );
     ]
